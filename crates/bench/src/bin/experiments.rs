@@ -1,6 +1,23 @@
 //! Experiment reproduction harness — one subcommand per table/figure of
-//! the evaluation (see DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded results).
+//! the evaluation:
+//!
+//! | id | what it regenerates |
+//! |---|---|
+//! | `ex0` | the appendix §I objective table, exactly |
+//! | `ex1` | Table I: generation parameters and resulting scenario sizes |
+//! | `ex2`–`ex4` | quality vs πCorresp, πErrors and πUnexplained noise |
+//! | `ex5` | the per-primitive quality breakdown |
+//! | `ex6` | runtime vs scenario size |
+//! | `ex7` | the appendix's SET COVER reduction: exact vs relaxed optima |
+//! | `ex8` | ablations: objective weights, hinge shape, rounding repair |
+//! | `ex9` | collective (PSL) vs independent per-candidate selection |
+//!
+//! The paper's tables come from iBench scenarios with Clio candidates and
+//! its own PSL engine; every row here runs on this repository's
+//! substitutes for them (`cms-ibench`, `cms-candgen`, `cms-psl`), so the
+//! tables reproduce the paper's comparisons and trends, not its exact
+//! figures. Each run prints its tables to stdout; results are not
+//! recorded in the repository.
 //!
 //! ```text
 //! cargo run --release -p cms-bench --bin experiments -- <ex0|ex1|...|ex9|all>
@@ -9,11 +26,11 @@
 use cms_bench::tables::{f1, f3};
 use cms_bench::{average_outcomes, seeded_scenarios, standard_selectors, Table};
 use cms_data::Instance;
-use cms_ibench::{generate, NoiseConfig, Primitive, ScenarioConfig};
+use cms_ibench::{generate, NoiseConfig, Primitive, Scenario, ScenarioConfig};
 use cms_select::reduction::{closed_form_objective, is_cover_within_bound};
 use cms_select::{
-    build_reduction, BranchBound, CoverageModel, Greedy, Objective, ObjectiveWeights,
-    PslCollective, Selector, SetCoverInstance,
+    build_reduction, evaluate_prepared, BranchBound, CoverageModel, Greedy, IndependentBaseline,
+    Objective, ObjectiveWeights, PreparedScenario, PslCollective, Selector, SetCoverInstance,
 };
 use cms_tgd::parse_tgd;
 use std::time::Instant;
@@ -423,15 +440,15 @@ fn ex8() {
         ..ScenarioConfig::all_primitives(1)
     };
     let scenarios = seeded_scenarios(&base, &SEEDS);
+    // Every variant runs on the same models: build them once.
+    let prepared = prepare_all(&scenarios);
 
     let mut table = Table::new(&["variant", "map-F1", "data-F1", "F", "gold-F"]);
     let mut run = |label: &str, selector: &dyn Selector, weights: ObjectiveWeights| {
-        let rows = average_outcomes(&scenarios, &[], &weights, false);
-        let _ = rows;
         let n = scenarios.len() as f64;
         let (mut f1m, mut f1d, mut fo, mut fg) = (0.0, 0.0, 0.0, 0.0);
-        for s in &scenarios {
-            let o = cms_select::evaluate_scenario(s, selector, &weights).expect("selector runs");
+        for (s, p) in scenarios.iter().zip(&prepared) {
+            let o = evaluate_prepared(s, p, selector, &weights).expect("selector runs");
             f1m += o.mapping.f1 / n;
             f1d += o.data.f1 / n;
             fo += o.selection.objective / n;
@@ -507,6 +524,13 @@ fn tables_f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
+fn prepare_all(scenarios: &[Scenario]) -> Vec<PreparedScenario> {
+    scenarios
+        .iter()
+        .map(|s| PreparedScenario::new(s).expect("generated candidates are valid"))
+        .collect()
+}
+
 /// EX9 — collective vs non-collective selection across a noise grid.
 fn ex9() {
     println!("## EX9 — collective (PSL) vs independent per-candidate selection\n");
@@ -527,11 +551,9 @@ fn ex9() {
         let w = ObjectiveWeights::unweighted();
         let n = scenarios.len() as f64;
         let (mut ind_m, mut psl_m, mut ind_d, mut psl_d) = (0.0, 0.0, 0.0, 0.0);
-        for s in &scenarios {
-            let oi = cms_select::evaluate_scenario(s, &cms_select::IndependentBaseline, &w)
-                .expect("baseline runs");
-            let op =
-                cms_select::evaluate_scenario(s, &PslCollective::default(), &w).expect("psl runs");
+        for (s, p) in scenarios.iter().zip(&prepare_all(&scenarios)) {
+            let oi = evaluate_prepared(s, p, &IndependentBaseline, &w).expect("baseline runs");
+            let op = evaluate_prepared(s, p, &PslCollective::default(), &w).expect("psl runs");
             ind_m += oi.mapping.f1 / n;
             psl_m += op.mapping.f1 / n;
             ind_d += oi.data.f1 / n;

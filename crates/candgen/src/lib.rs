@@ -10,8 +10,11 @@
 //!    existentials for the rest;
 //! 3. deduplicate structurally.
 //!
-//! This replaces the Clio system the paper uses as its candidate generator
-//! (see DESIGN.md §5).
+//! This replaces the Clio system the paper uses as its candidate
+//! generator. Clio is not available as a library; this re-implements the
+//! part of it the paper relies on — join-tree logical relations on both
+//! sides and one candidate per correspondence-connected pair — so the
+//! candidate sets have Clio's shape, though not its exact output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,7 +6,10 @@
 //! with range parameters (2,4), source-instance generation, data exchange
 //! with the gold mapping, Clio-style candidate generation over true +
 //! spurious correspondences, and the three noise knobs πCorresp, πErrors,
-//! πUnexplained. See DESIGN.md §5 for the substitution rationale.
+//! πUnexplained. The original iBench is a stand-alone Java tool;
+//! regenerating its scenarios in-process keeps every experiment seeded
+//! and self-contained, at the price of matching iBench's primitives and
+//! the paper's noise model rather than iBench's exact output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,7 +10,11 @@
 //! The paper's collective mapping-selection model is expressed on top of
 //! this crate by `cms-select`; nothing in here is specific to schema
 //! mapping. No PSL or Markov-logic crate exists in the ecosystem, so this
-//! engine is implemented from scratch (see DESIGN.md §3).
+//! engine is implemented from scratch. It covers what the paper's model
+//! needs — closed and open predicates, weighted and hard logical rules,
+//! arithmetic (summation) constraints, grounding and MAP inference — and
+//! not PSL's weight learners (see `cms_select::learn` for the grid search
+//! used instead).
 //!
 //! ```
 //! use cms_psl::{Vocabulary, Program, GroundAtom, RuleBuilder, rvar, AdmmConfig};

@@ -5,13 +5,26 @@
 //! the weight space: given training scenarios whose gold mapping is known,
 //! pick the `(w1, w2, w3)` whose selections score best. `F` is invariant
 //! under uniform scaling of the weights, so the grid fixes `w1 = 1` and
-//! explores `(w2, w3)` on a log grid (DESIGN.md §5 records this
-//! substitution: grid search in place of PSL's margin-based learners).
+//! explores `(w2, w3)` on a log grid. Grid search stands in for PSL's
+//! margin-based and maximum-likelihood learners: it needs nothing but
+//! repeated MAP inference, and three weights with one fixed leave a
+//! two-dimensional space small enough to search exhaustively.
+//!
+//! Only selection depends on the weights. So each training scenario is
+//! prepared once — coverage model built and preprocessed
+//! ([`PreparedScenario`]) and, for [`LearnMetric::DataF1`], the gold
+//! mapping's exchange chased — and each grid point then pays only for
+//! selection and the learned metric: mapping F1 needs no chase at all, and
+//! a selection's data F1 is chased once per distinct selected set, since
+//! many grid points pick the same set.
 
+use crate::metrics::{exchange_patterns, mapping_prf, patterns_prf};
 use crate::objective::ObjectiveWeights;
-use crate::pipeline::evaluate_scenario;
+use crate::pipeline::PreparedScenario;
 use crate::selectors::{SelectError, Selector};
+use cms_data::TuplePattern;
 use cms_ibench::Scenario;
+use std::collections::{BTreeMap, HashMap};
 
 /// Which evaluation metric to maximize during learning.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,25 +88,30 @@ pub struct LearnedWeights {
 /// Grid-search the objective weights on labeled training scenarios.
 ///
 /// Ties are broken toward the default weights first, then grid order, so
-/// learning never moves away from the default without evidence.
+/// learning never moves away from the default without evidence. The
+/// result is the same as scoring every grid point by
+/// [`evaluate_scenario`](crate::evaluate_scenario) on each scenario.
 pub fn learn_weights(
     scenarios: &[Scenario],
     selector: &dyn Selector,
     grid: &WeightGrid,
     metric: LearnMetric,
 ) -> Result<LearnedWeights, SelectError> {
-    assert!(
-        !scenarios.is_empty(),
-        "weight learning needs at least one scenario"
-    );
-    let score_of = |weights: &ObjectiveWeights| -> Result<f64, SelectError> {
+    if scenarios.is_empty() {
+        return Err(SelectError::EmptyTraining);
+    }
+    let mut training = {
+        let _span = cms_obs::span("learn/prepare");
+        scenarios
+            .iter()
+            .map(|s| TrainingScenario::new(s, metric))
+            .collect::<Result<Vec<_>, _>>()?
+    };
+    let mut score_of = |weights: &ObjectiveWeights| -> Result<f64, SelectError> {
+        let _span = cms_obs::span("learn/grid");
         let mut total = 0.0;
-        for s in scenarios {
-            let outcome = evaluate_scenario(s, selector, weights)?;
-            total += match metric {
-                LearnMetric::MappingF1 => outcome.mapping.f1,
-                LearnMetric::DataF1 => outcome.data.f1,
-            };
+        for t in &mut training {
+            total += t.score(selector, weights)?;
         }
         Ok(total / scenarios.len() as f64)
     };
@@ -118,6 +136,59 @@ pub fn learn_weights(
         default_score,
         evaluated,
     })
+}
+
+/// One training scenario with its weight-independent work done.
+struct TrainingScenario<'a> {
+    scenario: &'a Scenario,
+    prepared: PreparedScenario,
+    /// The gold exchange's patterns; `Some` only under
+    /// [`LearnMetric::DataF1`].
+    gold_patterns: Option<BTreeMap<TuplePattern, usize>>,
+    /// Data F1 per selected set already scored.
+    data_f1: HashMap<Vec<usize>, f64>,
+}
+
+impl<'a> TrainingScenario<'a> {
+    fn new(scenario: &'a Scenario, metric: LearnMetric) -> Result<Self, SelectError> {
+        let gold_patterns = match metric {
+            LearnMetric::MappingF1 => None,
+            LearnMetric::DataF1 => Some(exchange_patterns(
+                &scenario.source,
+                &scenario.candidates,
+                &scenario.gold,
+            )?),
+        };
+        Ok(TrainingScenario {
+            scenario,
+            prepared: PreparedScenario::new(scenario)?,
+            gold_patterns,
+            data_f1: HashMap::new(),
+        })
+    }
+
+    /// The learned metric of `selector`'s selection under `weights`.
+    fn score(
+        &mut self,
+        selector: &dyn Selector,
+        weights: &ObjectiveWeights,
+    ) -> Result<f64, SelectError> {
+        let selected = selector.select(&self.prepared.reduced, weights)?.selected;
+        let Some(gold) = &self.gold_patterns else {
+            return Ok(mapping_prf(&selected, &self.scenario.gold).f1);
+        };
+        if let Some(&f1) = self.data_f1.get(&selected) {
+            return Ok(f1);
+        }
+        let s = self.scenario;
+        let f1 = patterns_prf(
+            &exchange_patterns(&s.source, &s.candidates, &selected)?,
+            gold,
+        )
+        .f1;
+        self.data_f1.insert(selected, f1);
+        Ok(f1)
+    }
 }
 
 #[cfg(test)]
@@ -188,9 +259,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one scenario")]
-    fn empty_training_panics() {
-        let _ = learn_weights(&[], &Greedy, &WeightGrid::default(), LearnMetric::MappingF1);
+    fn empty_training_is_an_error() {
+        let err = learn_weights(&[], &Greedy, &WeightGrid::default(), LearnMetric::MappingF1)
+            .unwrap_err();
+        assert_eq!(err, SelectError::EmptyTraining);
     }
 
     #[test]

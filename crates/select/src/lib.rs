@@ -36,7 +36,7 @@ pub use incremental::IncrementalObjective;
 pub use learn::{learn_weights, LearnMetric, LearnedWeights, WeightGrid};
 pub use metrics::{data_prf, mapping_prf, Prf};
 pub use objective::{Objective, ObjectiveWeights};
-pub use pipeline::{evaluate_scenario, SelectionOutcome};
+pub use pipeline::{evaluate_prepared, evaluate_scenario, PreparedScenario, SelectionOutcome};
 pub use preprocess::{preprocess, PreprocessReport};
 pub use reduction::{build_reduction, SetCoverInstance};
 pub use relaxation::{build_eval_program, EvalPreds, WarmRelaxation};

@@ -9,8 +9,9 @@
 //!   null-canonicalized tuple patterns (nulls from different chases can
 //!   never be equal verbatim).
 
-use cms_data::{multiset_overlap, pattern_multiset, Instance};
-use cms_tgd::{ChaseEngine, StTgd};
+use cms_data::{multiset_overlap, pattern_multiset, Instance, TuplePattern};
+use cms_tgd::{ChaseEngine, ChaseError, StTgd};
+use std::collections::BTreeMap;
 
 /// Precision / recall / F1.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -64,26 +65,45 @@ pub fn mapping_prf(selected: &[usize], gold: &[usize]) -> Prf {
 }
 
 /// Data-level P/R/F1: exchanged instances compared as pattern multisets.
+///
+/// Panics if a selected or gold candidate fails chase validation.
 pub fn data_prf(
     source: &Instance,
     candidates: &[StTgd],
     selected: &[usize],
     gold: &[usize],
 ) -> Prf {
+    let exchange = |idxs: &[usize]| {
+        exchange_patterns(source, candidates, idxs)
+            .unwrap_or_else(|e| panic!("data_prf: invalid candidate tgd: {e}"))
+    };
+    patterns_prf(&exchange(selected), &exchange(gold))
+}
+
+/// The exchanged instance `chase(source, {candidates[i] | i ∈ idxs})` as a
+/// multiset of tuple patterns.
+pub(crate) fn exchange_patterns(
+    source: &Instance,
+    candidates: &[StTgd],
+    idxs: &[usize],
+) -> Result<BTreeMap<TuplePattern, usize>, ChaseError> {
     // Exchange through the batched engine (merged solution per selection);
     // patterns are invariant under its null renaming.
-    let exchange = |idxs: &[usize]| -> Instance {
-        let picked: Vec<StTgd> = idxs.iter().map(|&i| candidates[i].clone()).collect();
-        ChaseEngine::new(&picked)
-            .unwrap_or_else(|e| panic!("data_prf: invalid candidate tgd: {e}"))
-            .chase_merged(source)
-    };
-    let k_sel = exchange(selected);
-    let k_gold = exchange(gold);
-    let (ms, mg) = (pattern_multiset(&k_sel), pattern_multiset(&k_gold));
-    let overlap = multiset_overlap(&ms, &mg);
-    let n_sel: usize = ms.values().sum();
-    let n_gold: usize = mg.values().sum();
+    let picked: Vec<StTgd> = idxs.iter().map(|&i| candidates[i].clone()).collect();
+    Ok(pattern_multiset(
+        &ChaseEngine::new(&picked)?.chase_merged(source),
+    ))
+}
+
+/// Data-level P/R/F1 of a selection's exchanged patterns against the gold
+/// mapping's.
+pub(crate) fn patterns_prf(
+    selected: &BTreeMap<TuplePattern, usize>,
+    gold: &BTreeMap<TuplePattern, usize>,
+) -> Prf {
+    let overlap = multiset_overlap(selected, gold);
+    let n_sel: usize = selected.values().sum();
+    let n_gold: usize = gold.values().sum();
     Prf::from_counts(overlap, n_sel, n_gold)
 }
 

@@ -36,12 +36,21 @@ use crate::objective::ObjectiveWeights;
 pub enum SelectError {
     /// The PSL program failed to ground.
     Grounding(cms_psl::GroundingError),
+    /// A candidate tgd failed chase validation while the coverage model
+    /// was being built.
+    Chase(cms_tgd::ChaseError),
+    /// Weight learning was given no training scenarios.
+    EmptyTraining,
 }
 
 impl std::fmt::Display for SelectError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SelectError::Grounding(e) => write!(f, "selection failed: {e}"),
+            SelectError::Chase(e) => write!(f, "invalid candidate tgd: {e}"),
+            SelectError::EmptyTraining => {
+                write!(f, "weight learning needs at least one scenario")
+            }
         }
     }
 }
@@ -50,6 +59,8 @@ impl std::error::Error for SelectError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SelectError::Grounding(e) => Some(e),
+            SelectError::Chase(e) => Some(e),
+            SelectError::EmptyTraining => None,
         }
     }
 }
@@ -57,6 +68,12 @@ impl std::error::Error for SelectError {
 impl From<cms_psl::GroundingError> for SelectError {
     fn from(e: cms_psl::GroundingError) -> SelectError {
         SelectError::Grounding(e)
+    }
+}
+
+impl From<cms_tgd::ChaseError> for SelectError {
+    fn from(e: cms_tgd::ChaseError) -> SelectError {
+        SelectError::Chase(e)
     }
 }
 

@@ -1,6 +1,7 @@
 //! The paper's approach: collective selection via PSL MAP inference.
 //!
-//! The coverage model compiles into the HL-MRF described in DESIGN.md §2:
+//! The coverage model compiles into a hinge-loss MRF, one PSL rule per
+//! term of objective Eq. (9) plus the hard constraints linking them:
 //!
 //! ```text
 //! predicates:  tuple/1, cand/1, creates/2 (closed)

@@ -82,10 +82,10 @@ pub mod prelude {
     };
     pub use cms_psl::{AdmmConfig, GroundAtom, Program, RuleBuilder, Vocabulary};
     pub use cms_select::{
-        build_reduction, data_prf, evaluate_scenario, mapping_prf, preprocess, BranchBound,
-        CoverageModel, Exhaustive, FixedSelection, Greedy, IndependentBaseline, LocalSearch,
-        Objective, ObjectiveWeights, Prf, PslCollective, Selection, SelectionOutcome, Selector,
-        SetCoverInstance,
+        build_reduction, data_prf, evaluate_prepared, evaluate_scenario, mapping_prf, preprocess,
+        BranchBound, CoverageModel, Exhaustive, FixedSelection, Greedy, IndependentBaseline,
+        LocalSearch, Objective, ObjectiveWeights, PreparedScenario, Prf, PslCollective, Selection,
+        SelectionOutcome, Selector, SetCoverInstance,
     };
     pub use cms_tgd::{
         chase, chase_one, parse_tgd, var, ChaseEngine, ChaseError, ChaseStats, StTgd, TgdBuilder,
