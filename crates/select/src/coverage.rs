@@ -290,7 +290,40 @@ impl CoverageModel {
         self.targets.len()
     }
 
+    /// Error groups per candidate, ascending group order: the candidate →
+    /// group view of `errors`, derived in one O(model) pass. A creator
+    /// listed twice in one group still maps to that group once.
+    pub fn groups_by_candidate(&self) -> Vec<Vec<usize>> {
+        let mut groups_of = vec![Vec::new(); self.num_candidates];
+        for (g, group) in self.errors.iter().enumerate() {
+            for &c in &group.creators {
+                let list = &mut groups_of[c];
+                if list.last() != Some(&g) {
+                    list.push(g);
+                }
+            }
+        }
+        groups_of
+    }
+
+    /// `(candidate, degree)` pairs per target, ascending candidate order:
+    /// the target → candidate view of `covers`, derived in one O(model)
+    /// pass.
+    pub fn covers_by_target(&self) -> Vec<Vec<(usize, f64)>> {
+        let mut by_target = vec![Vec::new(); self.num_targets()];
+        for (c, list) in self.covers.iter().enumerate() {
+            for &(t, d) in list {
+                by_target[t].push((c, d));
+            }
+        }
+        by_target
+    }
+
     /// Best cover of target `t` by candidate `c` (0 if none).
+    ///
+    /// A linear scan of `c`'s cover list, meant for tests and
+    /// diagnostics; inner loops over many (candidate, target) pairs go
+    /// through [`CoverageModel::covers_by_target`] instead.
     pub fn cover(&self, c: usize, t: usize) -> f64 {
         self.covers[c]
             .iter()
@@ -634,6 +667,28 @@ pub(crate) mod tests {
         assert_eq!(engine.sizes, reference.sizes);
         assert_eq!(engine.error_counts, reference.error_counts);
         assert_eq!(engine.errors.len(), reference.errors.len());
+    }
+
+    #[test]
+    fn adjacency_views_invert_covers_and_errors() {
+        let (_, _, i, j, cands) = running_example();
+        let model = CoverageModel::build(&i, &j, &cands);
+        let groups_of = model.groups_by_candidate();
+        for (c, groups) in groups_of.iter().enumerate() {
+            assert!(groups.windows(2).all(|w| w[0] < w[1]), "ascending");
+            assert_eq!(groups.len(), model.error_counts[c]);
+            for &g in groups {
+                assert!(model.errors[g].creators.contains(&c));
+            }
+        }
+        let by_target = model.covers_by_target();
+        for (t, pairs) in by_target.iter().enumerate() {
+            assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "ascending");
+            for c in 0..model.num_candidates {
+                let d = pairs.iter().find(|&&(ci, _)| ci == c).map_or(0.0, |p| p.1);
+                assert_eq!(d, model.cover(c, t));
+            }
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub fn explain_selection(
     let inc = IncrementalObjective::with_selection(model, *weights, selection);
     let candidates = (0..model.num_candidates)
         .map(|c| {
-            let selected = selection.contains(&c);
+            let selected = inc.is_selected(c);
             CandidateReport {
                 index: c,
                 selected,

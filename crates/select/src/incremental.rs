@@ -1,11 +1,14 @@
 //! Incremental objective evaluation.
 //!
 //! Greedy and local search evaluate `F` once per candidate per pass; the
-//! naive evaluator is `O(|selection| · covers)` per call, which makes those
-//! selectors quadratic-ish in candidate count. This evaluator maintains the
-//! selection state so that *applying* or *probing* a single add/remove is
-//! proportional to the touched candidate's cover list (plus its error
-//! groups), not the whole model:
+//! naive evaluator is `O(|selection| · covers + Σ creators)` per call,
+//! which makes those selectors quadratic-ish in candidate count. This
+//! evaluator maintains the selection state so that *applying* or
+//! *probing* a single add/remove of candidate `c` costs
+//! `O(|covers[c]| · d + |groups_of[c]|)`, where `d` is the number of
+//! distinct selected degrees on a touched target (small: degrees are
+//! quantized fractions of the tuple arity) and `groups_of[c]` is `c`'s
+//! list in [`CoverageModel::groups_by_candidate`]. It keeps:
 //!
 //! * per target: the multiset of cover degrees of selected candidates,
 //!   as a count-indexed max structure (degrees are few and reused, so a
@@ -13,8 +16,9 @@
 //! * per error group: how many selected creators it has;
 //! * running totals for the three components.
 //!
-//! Equivalence with [`crate::objective::Objective`] is enforced by a
-//! property test (`tests/properties.rs`).
+//! Construction derives the candidate → group adjacency once, in
+//! O(model). Equivalence with [`crate::objective::Objective`] is enforced
+//! by property tests (`tests/properties.rs`, `tests/adjacency_equivalence.rs`).
 
 use crate::coverage::CoverageModel;
 use crate::objective::ObjectiveWeights;
@@ -23,6 +27,8 @@ use crate::objective::ObjectiveWeights;
 pub struct IncrementalObjective<'a> {
     model: &'a CoverageModel,
     weights: ObjectiveWeights,
+    /// Per candidate: its error groups, ascending.
+    groups_of: Vec<Vec<usize>>,
     selected: Vec<bool>,
     /// Per target: selected cover degrees, descending, with multiplicity.
     target_degrees: Vec<Vec<(f64, usize)>>,
@@ -42,6 +48,7 @@ impl<'a> IncrementalObjective<'a> {
         IncrementalObjective {
             model,
             weights,
+            groups_of: model.groups_by_candidate(),
             selected: vec![false; model.num_candidates],
             target_degrees: vec![Vec::new(); model.num_targets()],
             group_hits: vec![0; model.errors.len()],
@@ -99,13 +106,11 @@ impl<'a> IncrementalObjective<'a> {
             let new_max = degrees[0].0;
             self.explained_sum += new_max - old_max;
         }
-        for (g, group) in self.model.errors.iter().enumerate() {
-            if group.creators.contains(&c) {
-                if self.group_hits[g] == 0 {
-                    self.errors += 1;
-                }
-                self.group_hits[g] += 1;
+        for &g in &self.groups_of[c] {
+            if self.group_hits[g] == 0 {
+                self.errors += 1;
             }
+            self.group_hits[g] += 1;
         }
     }
 
@@ -122,12 +127,10 @@ impl<'a> IncrementalObjective<'a> {
             let new_max = degrees.first().map_or(0.0, |&(m, _)| m);
             self.explained_sum += new_max - old_max;
         }
-        for (g, group) in self.model.errors.iter().enumerate() {
-            if group.creators.contains(&c) {
-                self.group_hits[g] -= 1;
-                if self.group_hits[g] == 0 {
-                    self.errors -= 1;
-                }
+        for &g in &self.groups_of[c] {
+            self.group_hits[g] -= 1;
+            if self.group_hits[g] == 0 {
+                self.errors -= 1;
             }
         }
     }
@@ -145,8 +148,8 @@ impl<'a> IncrementalObjective<'a> {
                 delta -= self.weights.w_explain * (d - cur);
             }
         }
-        for (g, group) in self.model.errors.iter().enumerate() {
-            if self.group_hits[g] == 0 && group.creators.contains(&c) {
+        for &g in &self.groups_of[c] {
+            if self.group_hits[g] == 0 {
                 delta += self.weights.w_error;
             }
         }
@@ -169,8 +172,8 @@ impl<'a> IncrementalObjective<'a> {
                 delta += self.weights.w_explain * (cur - after);
             }
         }
-        for (g, group) in self.model.errors.iter().enumerate() {
-            if self.group_hits[g] == 1 && group.creators.contains(&c) {
+        for &g in &self.groups_of[c] {
+            if self.group_hits[g] == 1 {
                 delta -= self.weights.w_error;
             }
         }

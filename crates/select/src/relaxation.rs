@@ -142,11 +142,10 @@ pub fn build_eval_program(
             .build(),
     );
     // Explanation cap per target (raw constraints; exact-atom dirtiness).
-    for t in 0..model.num_targets() {
+    for (t, pairs) in model.covers_by_target().iter().enumerate() {
         let mut lin = AtomLin::new();
         lin.add(explained(t), 1.0);
-        for c in 0..model.num_candidates {
-            let d = model.cover(c, t);
+        for &(c, d) in pairs {
             if d > 0.0 {
                 lin.add(in_map(c), -d);
             }

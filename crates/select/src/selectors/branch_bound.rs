@@ -15,6 +15,12 @@
 //! selection is NP-hard (appendix §III), so worst-case time remains
 //! exponential — but the bound collapses most of the search space on the
 //! scenario families we generate.
+//!
+//! Per node the search pays `O(targets)` for the bound (a pass over the
+//! current and suffix cover rows). Including a candidate `c` costs
+//! `O(|covers[c]| + |groups_of[c]|)` on the way down and the same again to
+//! undo it on the way back up: the error count is kept on the DFS stack
+//! through per-group selected-creator counts, never recounted.
 
 use super::{useful_candidates, SelectError, Selection, Selector};
 use crate::coverage::CoverageModel;
@@ -32,6 +38,13 @@ pub struct BranchBound {
 struct Search<'a> {
     model: &'a CoverageModel,
     weights: ObjectiveWeights,
+    /// Per candidate: its error groups (see
+    /// [`CoverageModel::groups_by_candidate`]).
+    groups_of: Vec<Vec<usize>>,
+    /// Per error group: number of included creators.
+    group_hits: Vec<usize>,
+    /// Error groups with at least one included creator.
+    cur_errors: usize,
     order: Vec<usize>,
     /// suffix_cover[i][t] = max cover of t over order[i..].
     suffix_cover: Vec<Vec<f64>>,
@@ -44,8 +57,8 @@ struct Search<'a> {
 
 impl Search<'_> {
     /// DFS at position `i` with `included` the chosen candidates so far,
-    /// `cur_cover[t]` their best covers, `cur_errors`/`cur_size` their
-    /// error-group count and total size.
+    /// `cur_cover[t]` their best covers, `cur_size` their total size (and
+    /// `self.cur_errors` their error-group count).
     fn dfs(
         &mut self,
         i: usize,
@@ -58,13 +71,7 @@ impl Search<'_> {
             self.truncated = true;
             return;
         }
-        // Errors only depend on the included set; recompute sparsely.
-        let cur_errors = self
-            .model
-            .errors
-            .iter()
-            .filter(|g| g.creators.iter().any(|c| included.contains(c)))
-            .count() as f64;
+        let cur_errors = self.cur_errors as f64;
 
         // Leaf: exact objective.
         if i == self.order.len() {
@@ -101,6 +108,12 @@ impl Search<'_> {
                 cur_cover[t] = d;
             }
         }
+        for &g in &self.groups_of[cand] {
+            if self.group_hits[g] == 0 {
+                self.cur_errors += 1;
+            }
+            self.group_hits[g] += 1;
+        }
         included.push(cand);
         self.dfs(
             i + 1,
@@ -109,6 +122,12 @@ impl Search<'_> {
             cur_size + self.model.sizes[cand] as f64,
         );
         included.pop();
+        for &g in &self.groups_of[cand] {
+            self.group_hits[g] -= 1;
+            if self.group_hits[g] == 0 {
+                self.cur_errors -= 1;
+            }
+        }
         for (t, old) in touched {
             cur_cover[t] = old;
         }
@@ -152,6 +171,9 @@ impl Selector for BranchBound {
         let mut search = Search {
             model,
             weights: *weights,
+            groups_of: model.groups_by_candidate(),
+            group_hits: vec![0; model.errors.len()],
+            cur_errors: 0,
             order,
             suffix_cover,
             best_value: empty_value,

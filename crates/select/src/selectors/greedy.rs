@@ -7,8 +7,11 @@
 //! cases (shared error tuples, overlapping covers) are exactly where it
 //! falls behind the PSL approach.
 //!
-//! Probing uses [`IncrementalObjective`], so one full pass costs
-//! O(Σ touched cover lists) instead of O(candidates · model).
+//! Probing uses [`IncrementalObjective`]: a probe of candidate `c` costs
+//! O(|covers[c]| + |error groups of c|) (up to the tiny per-target degree
+//! lists), so one full pass costs the summed cover and error-group lists
+//! of the probed candidates instead of O(candidates · model). The removal
+//! pass additionally rebuilds the selection list, O(candidates), per step.
 
 use super::{useful_candidates, SelectError, Selection, Selector};
 use crate::coverage::CoverageModel;

@@ -238,10 +238,10 @@ pub trait Selector {
 }
 
 /// Candidates worth considering: everything except provably useless ones.
+/// (The complement of [`CoverageModel::useless_candidates`].)
 pub(crate) fn useful_candidates(model: &CoverageModel) -> Vec<usize> {
-    let useless = model.useless_candidates();
     (0..model.num_candidates)
-        .filter(|c| !useless.contains(c))
+        .filter(|&c| !model.covers[c].is_empty())
         .collect()
 }
 

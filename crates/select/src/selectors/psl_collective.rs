@@ -202,11 +202,10 @@ impl PslCollective {
                 .build(),
         );
         // (R2) explanation cap per target.
-        for t in 0..model.num_targets() {
+        for (t, pairs) in model.covers_by_target().iter().enumerate() {
             let mut lin = AtomLin::new();
             lin.add(explained(t), 1.0);
-            for c in 0..model.num_candidates {
-                let d = model.cover(c, t);
+            for &(c, d) in pairs {
                 if d > 0.0 {
                     lin.add(in_map(c), -d);
                 }

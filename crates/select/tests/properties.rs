@@ -10,7 +10,9 @@ use cms_select::{
 };
 use proptest::prelude::*;
 
-/// A random coverage model with `n_cand ≤ 7`, `n_targets ≤ 8`.
+/// A random coverage model with `n_cand ≤ 7`, `n_targets ≤ 8`, and up to
+/// six error groups of up to `n_cand` creators each (so groups overlap and
+/// a candidate sits in several).
 fn arb_model() -> impl Strategy<Value = CoverageModel> {
     let n_cand = 1usize..=7;
     let n_tgt = 1usize..=8;
@@ -18,7 +20,7 @@ fn arb_model() -> impl Strategy<Value = CoverageModel> {
         let covers =
             prop::collection::vec(prop::collection::vec((0..nt, 1u32..=4), 0..nt), nc..=nc);
         let sizes = prop::collection::vec(2usize..=6, nc..=nc);
-        let errors = prop::collection::vec(prop::collection::vec(0..nc, 1..=nc.min(3)), 0..4);
+        let errors = prop::collection::vec(prop::collection::vec(0..nc, 1..=nc), 0..=6);
         (covers, sizes, errors).prop_map(move |(covers, sizes, errors)| {
             let covers: Vec<Vec<(usize, f64)>> = covers
                 .into_iter()
@@ -153,8 +155,8 @@ proptest! {
     }
 
     /// The incremental evaluator agrees with the reference evaluator after
-    /// any sequence of adds/removes, and its probe deltas match the
-    /// subsequent applied change.
+    /// any sequence of adds/removes, and each probe delta matches both the
+    /// applied change and the naive difference `F(after) − F(before)`.
     #[test]
     fn incremental_matches_naive(
         model in arb_model(),
@@ -166,18 +168,23 @@ proptest! {
         for (raw, add) in ops {
             let c = raw % model.num_candidates;
             let before = inc.value();
-            if add {
+            let naive_before = naive.value(&inc.selection());
+            let delta = if add {
                 let delta = inc.delta_add(c);
                 inc.add(c);
-                prop_assert!((inc.value() - (before + delta)).abs() < 1e-9);
+                delta
             } else {
                 let delta = inc.delta_remove(c);
                 inc.remove(c);
-                prop_assert!((inc.value() - (before + delta)).abs() < 1e-9);
-            }
+                delta
+            };
             let sel = inc.selection();
-            prop_assert!((inc.value() - naive.value(&sel)).abs() < 1e-9,
-                "incremental {} vs naive {} at {sel:?}", inc.value(), naive.value(&sel));
+            let naive_after = naive.value(&sel);
+            prop_assert!((inc.value() - (before + delta)).abs() < 1e-9);
+            prop_assert!((delta - (naive_after - naive_before)).abs() < 1e-9,
+                "probe {delta} vs naive difference {} at {sel:?}", naive_after - naive_before);
+            prop_assert!((inc.value() - naive_after).abs() < 1e-9,
+                "incremental {} vs naive {naive_after} at {sel:?}", inc.value());
         }
     }
 }
