@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 fn bench_candgen(c: &mut Criterion) {
     let mut group = c.benchmark_group("candgen");
     group.sample_size(20);
-    for invocations in [1usize, 4, 8] {
+    for invocations in [1usize, 4, 8, 16] {
         let config = ScenarioConfig {
             rows_per_relation: 5, // data size is irrelevant here
             noise: NoiseConfig {

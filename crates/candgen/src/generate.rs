@@ -22,10 +22,19 @@
 //! turns matches into mappings and guarantees — as the paper's scenarios
 //! require — that the gold mapping is generated whenever the true
 //! correspondences are present (`MG ⊆ C`).
+//!
+//! Cost per call: correspondences are bucketed by source relation once.
+//! Each source LR gathers the buckets of its atoms' relations (ascending
+//! correspondence order, so first-seen order and the alternatives cap
+//! behave as in a scan of the whole list), and each target LR keeps the
+//! ones whose target relation it contains. A pair costs
+//! O(its source LR's correspondences × target LR atoms) to filter, pairs
+//! with no connecting correspondence are skipped, and only connected
+//! pairs build candidates.
 
 use crate::correspondence::Correspondence;
 use crate::logical_relation::{logical_relations, LogicalRelation};
-use cms_data::{FxHashMap, Schema};
+use cms_data::{FxHashMap, RelId, Schema};
 use cms_tgd::{dedup_tgds, Atom, StTgd, Term, VarId};
 
 /// Tuning knobs for candidate generation.
@@ -57,18 +66,47 @@ pub fn generate_candidates(
     let src_lrs = logical_relations(source, config.max_join_atoms);
     let tgt_lrs = logical_relations(target, config.max_join_atoms);
 
+    // Correspondence indices per source relation, ascending.
+    let mut by_source: FxHashMap<RelId, Vec<usize>> = FxHashMap::default();
+    for (i, c) in correspondences.iter().enumerate() {
+        by_source.entry(c.source.rel).or_default().push(i);
+    }
+
     let mut raw: Vec<StTgd> = Vec::new();
+    let mut src_corrs: Vec<usize> = Vec::new();
+    let mut pair_corrs: Vec<Correspondence> = Vec::new();
     for src_lr in &src_lrs {
+        src_corrs.clear();
+        for atom in &src_lr.atoms {
+            if let Some(bucket) = by_source.get(&atom.rel) {
+                src_corrs.extend_from_slice(bucket);
+            }
+        }
+        src_corrs.sort_unstable();
+        src_corrs.dedup();
+        if src_corrs.is_empty() {
+            continue;
+        }
         for tgt_lr in &tgt_lrs {
-            raw.extend(candidates_for_pair(src_lr, tgt_lr, correspondences, config));
+            pair_corrs.clear();
+            pair_corrs.extend(
+                src_corrs
+                    .iter()
+                    .map(|&i| correspondences[i])
+                    .filter(|c| tgt_lr.atoms.iter().any(|a| a.rel == c.target.rel)),
+            );
+            if !pair_corrs.is_empty() {
+                raw.extend(candidates_for_pair(src_lr, tgt_lr, &pair_corrs, config));
+            }
         }
     }
     let (deduped, _) = dedup_tgds(raw);
     deduped
 }
 
-/// Build the candidates for one (source LR, target LR) pair; empty if no
-/// correspondence connects them.
+/// Build the candidates for one (source LR, target LR) pair from the
+/// correspondences connecting it, in ascending input order (the order
+/// fixes which alternatives the cap keeps); empty if none applies.
 fn candidates_for_pair(
     src_lr: &LogicalRelation,
     tgt_lr: &LogicalRelation,
@@ -99,7 +137,10 @@ fn candidates_for_pair(
     // Enumerate combinations of choices (mixed-radix counter over the
     // conflicting variables), capped.
     let radices: Vec<usize> = tgt_var_order.iter().map(|v| options[v].len()).collect();
-    let total: usize = radices.iter().product();
+    // Saturating: a pair with many conflicting target attributes can have
+    // more combinations than `usize` holds, and only the capped prefix is
+    // ever enumerated.
+    let total = radices.iter().fold(1usize, |acc, &r| acc.saturating_mul(r));
     let emit = total.min(config.max_alternatives_per_pair.max(1));
 
     let mut out = Vec::with_capacity(emit);
@@ -347,6 +388,31 @@ mod tests {
         assert!(!cands
             .iter()
             .any(|c| canonical_key(c) == canonical_key(&leader_variant)));
+    }
+
+    #[test]
+    fn combination_count_past_usize_saturates_to_the_cap() {
+        // 64 target attributes with two options each: 2^64 combinations,
+        // which a plain product wraps to 0 (and panics on in debug).
+        let mut src = Schema::new("s");
+        let s = src.add_relation("s", &["a", "b"]);
+        let cols: Vec<String> = (0..64).map(|i| format!("c{i}")).collect();
+        let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+        let mut tgt = Schema::new("t");
+        let t = tgt.add_relation("t", &col_refs);
+        let corrs: Vec<Correspondence> = (0..64)
+            .flat_map(|tc| {
+                (0..2).map(move |sc| {
+                    Correspondence::new(
+                        cms_data::AttrRef::new(s, sc),
+                        cms_data::AttrRef::new(t, tc),
+                    )
+                })
+            })
+            .collect();
+        let config = CandGenConfig::default();
+        let cands = generate_candidates(&src, &tgt, &corrs, &config);
+        assert_eq!(cands.len(), config.max_alternatives_per_pair);
     }
 
     #[test]

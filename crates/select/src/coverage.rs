@@ -14,6 +14,12 @@
 //!   `(#constants + #supported nulls) / arity`.
 //! * `k` with **no** match in `J` is an error (`creates` = 1).
 //!
+//! Scoring never scans `J` per tuple: each `K_θ` tuple probes postings
+//! lists of `J` keyed by `(relation, column, constant)` and checks only the
+//! shortest list among its constants (all of its relation's targets only
+//! when it has no constant), and null support reads the matches the probe
+//! already found. See `CoverageModel::from_solutions` for the cost.
+//!
 //! Nulls are never shared across candidates (the chase freshens them per
 //! firing), so per-candidate computation is exact for any selection:
 //! `explains(M, t) = max_{θ ∈ M} covers(θ, t)`, and error tuples union.
@@ -21,9 +27,10 @@
 //! error *group* charged once per selection, matching `Σ_{t ∈ K_C − J}` of
 //! Eq. (1).
 
-use cms_data::{tuple_match, FxHashMap, Instance, NullId, Tuple, Value};
+use cms_data::{FxHashMap, Instance, NullId, RelId, Tuple, Value};
 use cms_tgd::{chase_one, core_of, ChaseEngine, ChaseError, ChaseStats, StTgd};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Options for coverage-model construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -132,6 +139,23 @@ impl CoverageModel {
     }
 
     /// Score precomputed per-candidate universal solutions against `target`.
+    ///
+    /// A `K_θ` tuple can only match targets that agree with it on every
+    /// constant position, so each tuple probes a [`TargetIndex`] once: the
+    /// shortest `(relation, column, constant)` postings list among its
+    /// constant positions, or all of its relation's targets when it has
+    /// none. The probe lists a subset of the relation's targets in
+    /// ascending order and every listed target is still checked, so the
+    /// matches are those of a scan of every same-relation target. The null
+    /// support check reuses those matches: `n ↦ c` is supported for one
+    /// tuple iff another tuple containing `n` has a match with `c` at `n`'s
+    /// position, read from that tuple's sorted induced constants.
+    ///
+    /// Cost: building the index sorts each column of `J` once. Per `K_θ`
+    /// tuple, one relation lookup and one binary search per constant
+    /// position, plus a check of each target on the shortest list; per
+    /// match, one binary search per null position. Nothing scans a whole
+    /// relation unless the tuple has no constant.
     fn from_solutions(
         target: &Instance,
         candidates: &[StTgd],
@@ -139,123 +163,117 @@ impl CoverageModel {
         options: &CoverageOptions,
     ) -> CoverageModel {
         debug_assert_eq!(candidates.len(), solutions.len());
+        let _span = cms_obs::span("coverage/score");
         let targets: Vec<Tuple> = target
             .iter_all()
             .map(|(rel, row)| Tuple::new(rel, row.to_vec()))
             .collect();
-        // Target index per relation for fast match lookup.
-        let mut by_rel: FxHashMap<cms_data::RelId, Vec<usize>> = FxHashMap::default();
-        for (i, t) in targets.iter().enumerate() {
-            by_rel.entry(t.rel).or_default().push(i);
-        }
+        let index = TargetIndex::new(&targets);
 
         let mut covers: Vec<Vec<(usize, f64)>> = Vec::with_capacity(candidates.len());
         let mut ground_errors: BTreeMap<Tuple, Vec<usize>> = BTreeMap::new();
         let mut null_errors: Vec<ErrorGroup> = Vec::new();
         let mut sizes = Vec::with_capacity(candidates.len());
+        // Per-candidate scratch, reused: the matching targets of each K_θ
+        // tuple (tuple `ki`'s are `matches[match_end[ki - 1]..match_end[ki]]`),
+        // the null occurrences `(null, tuple, induced range)` of tuples with
+        // a match, and the sorted constants their matches induce.
+        let mut matches: Vec<usize> = Vec::new();
+        let mut match_end: Vec<usize> = Vec::new();
+        let mut occurrences: Vec<(NullId, usize, usize, usize)> = Vec::new();
+        let mut induced: Vec<Value> = Vec::new();
+        // The current candidate's best degree per target, and the targets
+        // whose degree it raised above 0 (reset after each candidate).
+        let mut best = vec![0.0f64; targets.len()];
+        let mut touched: Vec<usize> = Vec::new();
 
         for (cand_idx, (tgd, mut k)) in candidates.iter().zip(solutions).enumerate() {
             sizes.push(tgd.size());
             if options.use_core {
                 k = core_of(&k);
             }
-            let k_tuples: Vec<Tuple> = k
-                .iter_all()
-                .map(|(rel, row)| Tuple::new(rel, row.to_vec()))
-                .collect();
-            // Occurrences of each null across K_θ.
-            let mut null_occurrences: FxHashMap<NullId, Vec<usize>> = FxHashMap::default();
-            for (ki, kt) in k_tuples.iter().enumerate() {
-                for v in &kt.args {
-                    if let Some(n) = v.as_null() {
-                        null_occurrences.entry(n).or_default().push(ki);
+            let k_rows: Vec<(RelId, &[Value])> = k.iter_all().collect();
+            matches.clear();
+            match_end.clear();
+            for &(rel, row) in &k_rows {
+                let probed = index.probe(rel, row).iter();
+                matches.extend(probed.filter(|&&ti| row_matches(row, &targets[ti].args)));
+                match_end.push(matches.len());
+            }
+            let matches_of = |ki: usize| {
+                let start = if ki == 0 { 0 } else { match_end[ki - 1] };
+                &matches[start..match_end[ki]]
+            };
+
+            occurrences.clear();
+            induced.clear();
+            for (ki, &(_, row)) in k_rows.iter().enumerate() {
+                for (pos, &v) in row.iter().enumerate() {
+                    let Value::Null(n) = v else { continue };
+                    if row[..pos].contains(&v) {
+                        continue; // a match gives every position of n one value
+                    }
+                    let start = induced.len();
+                    induced.extend(matches_of(ki).iter().map(|&ti| targets[ti].args[pos]));
+                    if induced.len() > start {
+                        induced[start..].sort_unstable();
+                        occurrences.push((n, ki, start, induced.len()));
                     }
                 }
             }
-            // Support cache: is n ↦ c corroborated by a tuple other than
-            // the asking one? Support is a property of (n, c) pairs plus
-            // the asking tuple; since occurrences lists are tiny we check
-            // directly with an exclusion index.
-            let mut support_cache: FxHashMap<(NullId, Value, usize), bool> = FxHashMap::default();
-            let mut is_supported = |n: NullId,
-                                    c: Value,
-                                    asking: usize,
-                                    k_tuples: &[Tuple],
-                                    null_occurrences: &FxHashMap<NullId, Vec<usize>>|
-             -> bool {
-                if let Some(&cached) = support_cache.get(&(n, c, asking)) {
-                    return cached;
-                }
-                let mut supported = false;
-                if let Some(occs) = null_occurrences.get(&n) {
-                    'outer: for &other in occs {
-                        if other == asking {
-                            continue;
-                        }
-                        let kt = &k_tuples[other];
-                        for ti in by_rel.get(&kt.rel).map_or(&[][..], Vec::as_slice) {
-                            if let Some(assignment) = tuple_match(&kt.args, &targets[*ti].args) {
-                                if assignment.get(&n) == Some(&c) {
-                                    supported = true;
-                                    break 'outer;
-                                }
-                            }
-                        }
-                    }
-                }
-                support_cache.insert((n, c, asking), supported);
-                supported
+            occurrences.sort_unstable_by_key(|&(n, ki, ..)| (n, ki));
+            // n ↦ c is supported for tuple `asking` iff another tuple
+            // containing n matches a target that induces n ↦ c.
+            let is_supported = |n: NullId, c: Value, asking: usize| -> bool {
+                let first = occurrences.partition_point(|o| o.0 < n);
+                occurrences[first..]
+                    .iter()
+                    .take_while(|o| o.0 == n)
+                    .any(|&(_, ki, start, end)| {
+                        ki != asking && induced[start..end].binary_search(&c).is_ok()
+                    })
             };
 
-            let mut cand_covers: FxHashMap<usize, f64> = FxHashMap::default();
-            for (ki, kt) in k_tuples.iter().enumerate() {
-                let mut matched = false;
-                for ti in by_rel.get(&kt.rel).map_or(&[][..], Vec::as_slice) {
-                    let t = &targets[*ti];
-                    let Some(assignment) = tuple_match(&kt.args, &t.args) else {
-                        continue;
-                    };
-                    matched = true;
-                    let arity = kt.arity() as f64;
-                    let mut hits = 0usize;
-                    for (pos, v) in kt.args.iter().enumerate() {
-                        match v {
-                            Value::Const(_) => hits += 1,
-                            Value::Null(n) => {
-                                // Invariant: `assignment` came from
-                                // `tuple_match(&kt.args, ..)`, which maps
-                                // *every* null position of `kt.args` (the
-                                // slice `n` is drawn from) or returns
-                                // `None` — so the lookup cannot miss.
-                                let c = *assignment.get(n).expect("matched null has assignment");
-                                debug_assert_eq!(c, t.args[pos]);
-                                if is_supported(*n, c, ki, &k_tuples, &null_occurrences) {
-                                    hits += 1;
-                                }
-                            }
+            for (ki, &(rel, row)) in k_rows.iter().enumerate() {
+                let matched = matches_of(ki);
+                for &ti in matched {
+                    // A matched null's induced constant is the target's
+                    // value at any of its positions (they agree).
+                    let hits = row
+                        .iter()
+                        .zip(&targets[ti].args)
+                        .filter(|&(v, &tv)| match v {
+                            Value::Const(_) => true,
+                            Value::Null(n) => is_supported(*n, tv, ki),
+                        })
+                        .count();
+                    let degree = (hits as f64 / row.len() as f64).min(1.0);
+                    if degree > best[ti] {
+                        if best[ti] == 0.0 {
+                            touched.push(ti);
                         }
-                    }
-                    let degree = (hits as f64 / arity).min(1.0);
-                    let entry = cand_covers.entry(*ti).or_insert(0.0);
-                    if degree > *entry {
-                        *entry = degree;
+                        best[ti] = degree;
                     }
                 }
-                if !matched {
-                    if kt.is_ground() {
-                        ground_errors.entry(kt.clone()).or_default().push(cand_idx);
+                if matched.is_empty() {
+                    let tuple = Tuple::new(rel, row.to_vec());
+                    if tuple.is_ground() {
+                        ground_errors.entry(tuple).or_default().push(cand_idx);
                     } else {
                         null_errors.push(ErrorGroup {
                             creators: vec![cand_idx],
-                            example: kt.clone(),
+                            example: tuple,
                         });
                     }
                 }
             }
-            let mut list: Vec<(usize, f64)> =
-                cand_covers.into_iter().filter(|&(_, d)| d > 0.0).collect();
-            list.sort_by_key(|&(t, _)| t);
-            covers.push(list);
+            touched.sort_unstable();
+            covers.push(
+                touched
+                    .drain(..)
+                    .map(|t| (t, std::mem::take(&mut best[t])))
+                    .collect(),
+            );
         }
 
         let mut errors: Vec<ErrorGroup> = ground_errors
@@ -355,6 +373,100 @@ impl CoverageModel {
             .filter(|&c| self.covers[c].is_empty())
             .collect()
     }
+}
+
+/// Target ids of `J` by relation, and postings `(relation, column,
+/// constant) → target ids`, every list ascending. Built per scoring pass
+/// and dropped with it.
+struct TargetIndex {
+    rels: FxHashMap<RelId, RelTargets>,
+    /// Each relation's columns, one run per column sorted by `(value, id)`:
+    /// a value's postings are the `ids` of its equal run of `values`.
+    values: Vec<Value>,
+    ids: Vec<usize>,
+}
+
+/// One relation's targets, ascending, and its column runs in
+/// [`TargetIndex::values`] / [`TargetIndex::ids`].
+struct RelTargets {
+    targets: Vec<usize>,
+    columns: Vec<Range<usize>>,
+}
+
+impl TargetIndex {
+    fn new(targets: &[Tuple]) -> TargetIndex {
+        let mut rels: FxHashMap<RelId, RelTargets> = FxHashMap::default();
+        for (i, t) in targets.iter().enumerate() {
+            rels.entry(t.rel)
+                .or_insert_with(|| RelTargets {
+                    targets: Vec::new(),
+                    columns: Vec::new(),
+                })
+                .targets
+                .push(i);
+        }
+        let (mut values, mut ids) = (Vec::new(), Vec::new());
+        let mut run: Vec<(Value, usize)> = Vec::new();
+        for rel in rels.values_mut() {
+            let arity = rel.targets.iter().map(|&i| targets[i].arity()).max();
+            for col in 0..arity.unwrap_or(0) {
+                run.clear();
+                run.extend(rel.targets.iter().filter_map(|&i| {
+                    let args = &targets[i].args;
+                    args.get(col).map(|&v| (v, i))
+                }));
+                run.sort_unstable();
+                let start = values.len();
+                values.extend(run.iter().map(|&(v, _)| v));
+                ids.extend(run.iter().map(|&(_, i)| i));
+                rel.columns.push(start..values.len());
+            }
+        }
+        TargetIndex { rels, values, ids }
+    }
+
+    /// The targets `row` (a tuple of `rel`) can match, ascending: the
+    /// shortest postings list among its constant positions (a match agrees
+    /// with every one of them), or all of `rel`'s targets if it has none.
+    fn probe(&self, rel: RelId, row: &[Value]) -> &[usize] {
+        let Some(rel) = self.rels.get(&rel) else {
+            return &[];
+        };
+        let mut shortest: Option<&[usize]> = None;
+        for (col, &v) in row.iter().enumerate() {
+            if v.is_null() {
+                continue;
+            }
+            let Some(run) = rel.columns.get(col) else {
+                return &[];
+            };
+            let values = &self.values[run.clone()];
+            let lo = values.partition_point(|&x| x < v);
+            let len = values[lo..].iter().take_while(|&&x| x == v).count();
+            if len == 0 {
+                return &[];
+            }
+            if shortest.is_none_or(|s| len < s.len()) {
+                shortest = Some(&self.ids[run.start + lo..run.start + lo + len]);
+            }
+        }
+        shortest.unwrap_or(&rel.targets)
+    }
+}
+
+/// `tuple_match(k, t).is_some()` without building the assignment: equal
+/// arity, every constant of `k` equal in `t`, `t` ground, and each
+/// repeated null of `k` facing one value.
+fn row_matches(k: &[Value], t: &[Value]) -> bool {
+    k.len() == t.len()
+        && (0..k.len()).all(|p| match (k[p], t[p]) {
+            (Value::Const(a), Value::Const(b)) => a == b,
+            (Value::Null(n), Value::Const(_)) => k[..p]
+                .iter()
+                .zip(t)
+                .all(|(&kq, &tq)| kq != Value::Null(n) || tq == t[p]),
+            (_, Value::Null(_)) => false,
+        })
 }
 
 #[cfg(test)]
@@ -688,6 +800,37 @@ pub(crate) mod tests {
                 let d = pairs.iter().find(|&&(ci, _)| ci == c).map_or(0.0, |p| p.1);
                 assert_eq!(d, model.cover(c, t));
             }
+        }
+    }
+
+    /// A value from a small pool: constants `c0..c2` or nulls `N0..N2`.
+    fn pooled(is_const: bool, i: u32) -> Value {
+        if is_const {
+            Value::constant(&format!("c{i}"))
+        } else {
+            Value::Null(NullId(i))
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// `k` is half nulls; `t` is mostly ground, and one time in eight
+        /// a column shorter.
+        #[test]
+        fn row_matches_agrees_with_tuple_match(
+            cols in proptest::collection::vec(((0u32..2, 0u32..3), (0u32..10, 0u32..3)), 0..5),
+            trim in 0u32..8,
+        ) {
+            let k: Vec<Value> = cols.iter().map(|&((kind, i), _)| pooled(kind == 0, i)).collect();
+            let mut t: Vec<Value> = cols.iter().map(|&(_, (kind, i))| pooled(kind != 0, i)).collect();
+            if trim == 0 {
+                t.pop();
+            }
+            proptest::prop_assert_eq!(
+                row_matches(&k, &t),
+                cms_data::tuple_match(&k, &t).is_some()
+            );
         }
     }
 

@@ -62,7 +62,10 @@ impl PreparedScenario {
             &scenario.candidates,
             &CoverageOptions::default(),
         )?;
-        let (reduced, report) = preprocess(&model);
+        let (reduced, report) = {
+            let _span = cms_obs::span("preprocess");
+            preprocess(&model)
+        };
         Ok(PreparedScenario { reduced, report })
     }
 }

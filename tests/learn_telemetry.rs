@@ -1,5 +1,7 @@
 //! Weight learning's spans: one `learn/prepare` holding each training
 //! scenario's single model build, and one `learn/grid` per grid point.
+//! Each model build (`pipeline/build-model`) holds exactly its three
+//! layers: the chase, the coverage scoring pass and preprocessing.
 //!
 //! A binary of its own with a single test, because the span store and the
 //! level override are process-wide.
@@ -39,5 +41,14 @@ fn learning_builds_each_model_once_under_its_spans() {
     let builds = named("pipeline/build-model");
     assert_eq!(builds.len(), scenarios.len());
     assert!(builds.iter().all(|b| b.parent == prepare[0].id));
+    for build in &builds {
+        let mut layers: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.parent == build.id)
+            .map(|s| s.name.as_str())
+            .collect();
+        layers.sort_unstable();
+        assert_eq!(layers, ["chase/all", "coverage/score", "preprocess"]);
+    }
     assert_eq!(named("learn/grid").len(), learned.evaluated);
 }
